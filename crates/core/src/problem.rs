@@ -1,33 +1,114 @@
 //! The scheduler-facing view of an ETC instance.
 
+use std::sync::OnceLock;
+
 use cmags_etc::GridInstance;
 
 use crate::{ticks, FitnessWeights, JobId, MachineId, Objective, Objectives};
 
-/// An immutable, evaluation-optimised view of a scheduling instance.
+/// An evaluation-optimised view of a scheduling instance.
 ///
 /// Owns a row-major copy of the ETC matrix plus the machine ready times and
-/// the fitness weights (Eq. 3), together with a parallel **fixed-point
-/// tick** copy of both (see [`crate::ticks`]) that the exact delta
-/// evaluator reads on its hot path. `Problem` is cheap to share by
-/// reference across threads (`Send + Sync`, no interior mutability); all
-/// algorithms in the workspace take `&Problem`.
-#[derive(Debug, Clone, PartialEq)]
+/// the fitness weights (Eq. 3). The exact delta evaluator reads a parallel
+/// **fixed-point tick** copy of both (see [`crate::ticks`]); that copy is
+/// built lazily, on the first evaluator read, so row-at-a-time heuristics
+/// (MCT, Min-Min, …) that only scan the f64 rows never pay for it.
+/// [`Problem::refill`] reloads a problem from a new instance in place,
+/// keeping every buffer's capacity, so a scheduler re-planning each
+/// activation of a dynamic grid stays allocation-steady. `Problem` is cheap
+/// to share by reference across threads (`Send + Sync`; the tick cache is a
+/// [`OnceLock`], initialised at most once); all algorithms in the workspace
+/// take `&Problem`.
+#[derive(Debug, Clone)]
 pub struct Problem {
     name: String,
     nb_jobs: usize,
     nb_machines: usize,
     /// Row-major: `etc[job * nb_machines + machine]`.
-    etc: Box<[f64]>,
-    ready: Box<[f64]>,
-    /// Row-major tick copy of `etc`, quantised once at construction so
+    etc: Vec<f64>,
+    ready: Vec<f64>,
+    /// Tick copy of `etc`/`ready`, quantised on first evaluator access so
     /// every evaluation path reads identical integer inputs.
-    etc_ticks: Box<[i64]>,
-    ready_ticks: Box<[i64]>,
+    ticks: OnceLock<TickCopy>,
     weights: FitnessWeights,
     /// Response-blend objective layered over `weights`
     /// ([`Objective::classic`] = the historical behaviour, bit for bit).
     objective: Objective,
+}
+
+/// The evaluator's fixed-point copy of a problem's ETC and ready times.
+///
+/// Evaluator loops fetch it once through [`Problem::ticks`] and index it
+/// directly, so the cache's initialisation check is not repeated per cell.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TickCopy {
+    nb_machines: usize,
+    /// Row-major, like [`Problem::etc`].
+    etc: Vec<i64>,
+    ready: Vec<i64>,
+}
+
+impl TickCopy {
+    /// ETC of `job` on `machine`.
+    #[inline]
+    pub(crate) fn etc(&self, job: JobId, machine: MachineId) -> i64 {
+        debug_assert!((machine as usize) < self.nb_machines);
+        self.etc[job as usize * self.nb_machines + machine as usize]
+    }
+
+    /// The ETC row of one job — contiguous, for batched scoring.
+    #[inline]
+    pub(crate) fn etc_row(&self, job: JobId) -> &[i64] {
+        let start = job as usize * self.nb_machines;
+        &self.etc[start..start + self.nb_machines]
+    }
+
+    /// Ready time of `machine`.
+    #[inline]
+    pub(crate) fn ready(&self, machine: MachineId) -> i64 {
+        self.ready[machine as usize]
+    }
+
+    /// Quantises `etc`/`ready` into the existing buffers.
+    fn fill(&mut self, nb_machines: usize, etc: &[f64], ready: &[f64]) {
+        self.nb_machines = nb_machines;
+        self.etc.clear();
+        self.etc.extend(etc.iter().map(|&e| ticks::ticks(e)));
+        self.ready.clear();
+        self.ready.extend(ready.iter().map(|&r| ticks::ticks(r)));
+    }
+}
+
+/// Equality of the instance data, weights and objective. The tick copy
+/// is a pure function of the data, so whether it has been built yet
+/// does not matter.
+impl PartialEq for Problem {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.nb_jobs == other.nb_jobs
+            && self.nb_machines == other.nb_machines
+            && self.etc == other.etc
+            && self.ready == other.ready
+            && self.weights == other.weights
+            && self.objective == other.objective
+    }
+}
+
+impl Default for Problem {
+    /// An empty (0 × 0) problem with the paper's λ = 0.75 and the classic
+    /// objective: the starting buffer for [`Problem::refill`].
+    fn default() -> Self {
+        Self {
+            name: String::new(),
+            nb_jobs: 0,
+            nb_machines: 0,
+            etc: Vec::new(),
+            ready: Vec::new(),
+            ticks: OnceLock::new(),
+            weights: FitnessWeights::default(),
+            objective: Objective::classic(),
+        }
+    }
 }
 
 impl Problem {
@@ -40,21 +121,43 @@ impl Problem {
     /// Builds a problem with explicit fitness weights.
     #[must_use]
     pub fn with_weights(instance: &GridInstance, weights: FitnessWeights) -> Self {
-        let etc: Box<[f64]> = instance.etc().as_slice().into();
-        let ready: Box<[f64]> = instance.ready_times().into();
-        let etc_ticks = etc.iter().map(|&e| ticks::ticks(e)).collect();
-        let ready_ticks = ready.iter().map(|&r| ticks::ticks(r)).collect();
-        Self {
-            name: instance.name().to_owned(),
-            nb_jobs: instance.nb_jobs(),
-            nb_machines: instance.nb_machines(),
-            etc,
-            ready,
-            etc_ticks,
-            ready_ticks,
+        let mut problem = Self {
             weights,
-            objective: Objective::classic(),
+            ..Self::default()
+        };
+        problem.refill(instance);
+        problem
+    }
+
+    /// Reloads this problem from `instance` in place, keeping the
+    /// capacity of every buffer; the weights and objective are kept.
+    ///
+    /// The result equals [`Problem::with_weights`] on the same instance
+    /// and weights. The tick copy is rebuilt only if it had already been
+    /// built, so a problem reused by an evaluator-driven scheduler stays
+    /// warm and one reused by a constructive heuristic never builds it.
+    pub fn refill(&mut self, instance: &GridInstance) {
+        self.name.clear();
+        self.name.push_str(instance.name());
+        self.nb_jobs = instance.nb_jobs();
+        self.nb_machines = instance.nb_machines();
+        self.etc.clear();
+        self.etc.extend_from_slice(instance.etc().as_slice());
+        self.ready.clear();
+        self.ready.extend_from_slice(instance.ready_times());
+        if let Some(ticks) = self.ticks.get_mut() {
+            ticks.fill(self.nb_machines, &self.etc, &self.ready);
         }
+    }
+
+    /// The evaluator's tick copy, built on first access.
+    #[inline]
+    pub(crate) fn ticks(&self) -> &TickCopy {
+        self.ticks.get_or_init(|| {
+            let mut ticks = TickCopy::default();
+            ticks.fill(self.nb_machines, &self.etc, &self.ready);
+            ticks
+        })
     }
 
     /// Instance name.
@@ -92,26 +195,6 @@ impl Problem {
     pub fn etc_row(&self, job: JobId) -> &[f64] {
         let start = job as usize * self.nb_machines;
         &self.etc[start..start + self.nb_machines]
-    }
-
-    /// ETC of `job` on `machine` in evaluator ticks.
-    #[inline]
-    pub(crate) fn etc_ticks(&self, job: JobId, machine: MachineId) -> i64 {
-        debug_assert!((job as usize) < self.nb_jobs && (machine as usize) < self.nb_machines);
-        self.etc_ticks[job as usize * self.nb_machines + machine as usize]
-    }
-
-    /// The tick ETC row of one job — contiguous, for batched scoring.
-    #[inline]
-    pub(crate) fn etc_ticks_row(&self, job: JobId) -> &[i64] {
-        let start = job as usize * self.nb_machines;
-        &self.etc_ticks[start..start + self.nb_machines]
-    }
-
-    /// Ready time of `machine` in evaluator ticks.
-    #[inline]
-    pub(crate) fn ready_ticks(&self, machine: MachineId) -> i64 {
-        self.ready_ticks[machine as usize]
     }
 
     /// Ready time of `machine`.
@@ -156,8 +239,14 @@ impl Problem {
     /// ETC/tick data, for freshly built per-activation problems.
     #[must_use]
     pub fn targeting(mut self, objective: Objective) -> Self {
-        self.objective = objective;
+        self.retarget(objective);
         self
+    }
+
+    /// The in-place variant of [`Problem::retargeted`], for problems
+    /// reused across [`Problem::refill`]s.
+    pub fn retarget(&mut self, objective: Objective) {
+        self.objective = objective;
     }
 
     /// A copy of this problem with different fitness weights.
@@ -235,11 +324,14 @@ mod tests {
     use super::*;
     use cmags_etc::EtcMatrix;
 
-    fn problem() -> Problem {
+    fn instance() -> GridInstance {
         // 3 jobs x 2 machines; machine 0 uniformly faster.
         let etc = EtcMatrix::from_rows(3, 2, vec![1.0, 2.0, 3.0, 6.0, 5.0, 10.0]);
-        let inst = GridInstance::with_ready_times("p", etc, vec![0.5, 0.0]);
-        Problem::from_instance(&inst)
+        GridInstance::with_ready_times("p", etc, vec![0.5, 0.0])
+    }
+
+    fn problem() -> Problem {
+        Problem::from_instance(&instance())
     }
 
     #[test]
@@ -311,6 +403,41 @@ mod tests {
         // Instance data untouched.
         assert_eq!(p.etc_row(1), response.etc_row(1));
         assert_eq!(p.fitness(obj), 12.5, "original untouched");
+    }
+
+    #[test]
+    fn tick_copy_is_built_on_first_evaluator_read_only() {
+        let p = problem();
+        assert!(p.ticks.get().is_none(), "construction builds no ticks");
+        let _ = p.etc_row(0);
+        assert!(p.ticks.get().is_none(), "f64 reads build no ticks");
+        assert_eq!(p.ticks().etc(1, 1), ticks::ticks(6.0));
+        assert_eq!(p.ticks().ready(0), ticks::ticks(0.5));
+        assert!(p.ticks.get().is_some());
+        assert_eq!(p, problem(), "equality ignores the tick cache");
+    }
+
+    #[test]
+    fn refill_keeps_capacity_and_rebuilds_only_a_built_tick_copy() {
+        let big = GridInstance::new("big", EtcMatrix::from_fn(8, 4, |j, m| (1 + j + m) as f64));
+        let mut p = Problem::from_instance(&big);
+        let _ = p.ticks();
+        let capacity = (p.etc.capacity(), p.ticks.get().map(|t| t.etc.capacity()));
+        let small = instance();
+        p.refill(&small);
+        assert_eq!(p, problem());
+        assert_eq!(
+            (p.etc.capacity(), p.ticks.get().map(|t| t.etc.capacity())),
+            capacity
+        );
+        assert_eq!(
+            p.ticks().etc_row(2),
+            &[ticks::ticks(5.0), ticks::ticks(10.0)]
+        );
+        let mut cold = Problem::default();
+        cold.refill(&small);
+        assert!(cold.ticks.get().is_none(), "a cold problem stays cold");
+        assert_eq!(cold, p);
     }
 
     #[test]

@@ -401,3 +401,55 @@ proptest! {
         prop_assert!(obj.flowtime <= lpt_flowtime + 1e-6);
     }
 }
+
+/// Strategy producing one instance (1–24 jobs, 1–8 machines, ETC in
+/// (0, 1000], ready times in [0, 50]) with a feasible schedule on it, and
+/// whether to evaluate on it (so a reused problem sometimes reaches its
+/// next refill without having built its tick copy).
+fn instance_step() -> impl Strategy<Value = (GridInstance, Schedule, bool)> {
+    (1usize..24, 1usize..8).prop_flat_map(|(jobs, machines)| {
+        let etc = proptest::collection::vec(0.001f64..1000.0, jobs * machines);
+        let ready = proptest::collection::vec(0.0f64..50.0, machines);
+        let assignment = proptest::collection::vec(0u32..machines as u32, jobs);
+        (etc, ready, assignment, any::<bool>()).prop_map(
+            move |(etc, ready, assignment, evaluated)| {
+                let matrix = EtcMatrix::from_rows(jobs, machines, etc);
+                let inst =
+                    GridInstance::with_ready_times(format!("{jobs}x{machines}"), matrix, ready);
+                (inst, Schedule::from_assignment(assignment), evaluated)
+            },
+        )
+    })
+}
+
+proptest! {
+    /// One problem refilled through a sequence of instances that grow
+    /// and shrink equals a freshly built problem at every step, and its
+    /// evaluations (lazy tick copy built, refilled warm or rebuilt cold)
+    /// are bit-identical to the fresh problem's.
+    #[test]
+    fn refill_matches_a_fresh_problem(
+        steps in proptest::collection::vec(instance_step(), 1..8),
+        objective in arb_objective(),
+    ) {
+        let mut reused = Problem::default();
+        for (inst, schedule, evaluated) in &steps {
+            reused.refill(inst);
+            reused.retarget(objective);
+            let fresh = Problem::from_instance(inst).targeting(objective);
+            prop_assert_eq!(&reused, &fresh);
+            if *evaluated {
+                let (a, b) = (evaluate(&reused, schedule), evaluate(&fresh, schedule));
+                prop_assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
+                prop_assert_eq!(a.flowtime.to_bits(), b.flowtime.to_bits());
+                let (ea, eb) = (EvalState::new(&reused, schedule), EvalState::new(&fresh, schedule));
+                prop_assert_eq!(ea.fitness(&reused).to_bits(), eb.fitness(&fresh).to_bits());
+                let (job, to) = (0, (schedule.machine_of(0) + 1) % inst.nb_machines() as u32);
+                prop_assert_eq!(
+                    ea.peek_move(&reused, schedule, job, to),
+                    eb.peek_move(&fresh, schedule, job, to)
+                );
+            }
+        }
+    }
+}

@@ -2,6 +2,17 @@
 
 use crate::Consistency;
 
+/// Whether every entry is strictly positive and finite.
+///
+/// `0 < x <= f64::MAX` is `x.is_finite() && x > 0.0` (NaN fails both
+/// comparisons). Two plain comparisons folded with `&`, not
+/// short-circuited, vectorise; `is_finite` or `x < ∞` compile to a
+/// scalar bit test instead.
+fn all_positive_finite(data: &[f64]) -> bool {
+    data.iter()
+        .fold(true, |ok, &x| ok & (x > 0.0) & (x <= f64::MAX))
+}
+
 /// A dense `nb_jobs × nb_machines` matrix of expected execution times.
 ///
 /// Storage is row-major (`data[job * nb_machines + machine]`), so scanning
@@ -14,7 +25,9 @@ use crate::Consistency;
 pub struct EtcMatrix {
     nb_jobs: usize,
     nb_machines: usize,
-    data: Box<[f64]>,
+    /// A `Vec`, not a boxed slice, so [`EtcMatrix::into_rows`] hands
+    /// back the full capacity it was built with.
+    data: Vec<f64>,
 }
 
 impl EtcMatrix {
@@ -36,23 +49,23 @@ impl EtcMatrix {
             data.len()
         );
         assert!(
-            data.iter().all(|&x| x.is_finite() && x > 0.0),
+            all_positive_finite(&data),
             "ETC entries must be strictly positive and finite"
         );
         Self {
             nb_jobs,
             nb_machines,
-            data: data.into_boxed_slice(),
+            data,
         }
     }
 
     /// Consumes the matrix and returns its row-major backing storage,
     /// so callers that rebuild snapshot matrices every round (the
     /// dynamic-grid dispatcher) can recycle the allocation via
-    /// [`EtcMatrix::from_rows`].
+    /// [`EtcMatrix::from_rows`] without losing capacity.
     #[must_use]
     pub fn into_rows(self) -> Vec<f64> {
-        self.data.into_vec()
+        self.data
     }
 
     /// Builds a matrix by evaluating `f(job, machine)` for every cell.
@@ -357,6 +370,30 @@ mod tests {
     #[should_panic(expected = "strictly positive")]
     fn rejects_non_positive_entries() {
         let _ = EtcMatrix::from_rows(1, 2, vec![1.0, 0.0]);
+    }
+
+    #[test]
+    fn validity_check_is_positive_and_finite() {
+        let edges = [
+            1.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+            0.0,
+            -0.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for x in edges {
+            assert_eq!(
+                all_positive_finite(&[1.0, x, 2.0]),
+                x.is_finite() && x > 0.0,
+                "{x}"
+            );
+        }
     }
 
     #[test]

@@ -200,6 +200,17 @@ impl MachinePool {
         Self::default()
     }
 
+    /// Creates an empty pool with room for `machines` machines before
+    /// its slot and alive lists first grow.
+    #[must_use]
+    pub(crate) fn with_capacity(machines: usize) -> Self {
+        Self {
+            slots: Vec::with_capacity(machines),
+            alive: Vec::with_capacity(machines),
+            down: Vec::new(),
+        }
+    }
+
     /// Reserves the next machine id without bringing the machine up.
     /// Used to stamp `MachineJoin` events with their real identity at
     /// schedule time; the reservation is filled by

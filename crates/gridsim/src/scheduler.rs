@@ -6,6 +6,14 @@
 //! for a [`Schedule`]. This is the paper's dynamic-scheduler construction:
 //! "running the cMA-based scheduler in batch mode … to schedule jobs
 //! arriving to the system since the last activation".
+//!
+//! The trait keeps the `GridInstance` interface, but every scheduler
+//! here that plans on a [`Problem`] owns one and [`Problem::refill`]s it
+//! each activation instead of building a fresh one: its buffers keep
+//! their capacity, so per-activation heap traffic stays flat after
+//! warm-up. The problem's evaluator tick copy is built only when
+//! something reads it — the metaheuristics keep it warm across
+//! activations; a constructive heuristic such as MCT never builds it.
 
 use cmags_cma::{CmaConfig, CmaEngine, StopCondition};
 use cmags_core::telemetry::MetricsRegistry;
@@ -29,6 +37,18 @@ fn objective_name(base: &str, objective: Objective) -> String {
     }
 }
 
+/// Refills a scheduler's reusable `problem` from the activation's
+/// snapshot and re-applies the scheduler's objective.
+fn refill<'a>(
+    problem: &'a mut Problem,
+    instance: &GridInstance,
+    objective: Objective,
+) -> &'a Problem {
+    problem.refill(instance);
+    problem.retarget(objective);
+    problem
+}
+
 /// A scheduler invoked in batch mode by the simulator.
 pub trait BatchScheduler {
     /// Name used in reports.
@@ -50,13 +70,18 @@ pub trait BatchScheduler {
 #[derive(Debug, Clone)]
 pub struct HeuristicScheduler {
     kind: ConstructiveKind,
+    /// Reused across activations (see the module docs).
+    problem: Problem,
 }
 
 impl HeuristicScheduler {
     /// Creates a scheduler from a heuristic kind.
     #[must_use]
     pub fn new(kind: ConstructiveKind) -> Self {
-        Self { kind }
+        Self {
+            kind,
+            problem: Problem::default(),
+        }
     }
 }
 
@@ -66,9 +91,9 @@ impl BatchScheduler for HeuristicScheduler {
     }
 
     fn schedule(&mut self, instance: &GridInstance, seed: u64) -> Schedule {
-        let problem = Problem::from_instance(instance);
+        self.problem.refill(instance);
         let mut rng = SmallRng::seed_from_u64(seed);
-        self.kind.build_seeded(&problem, &mut rng)
+        self.kind.build_seeded(&self.problem, &mut rng)
     }
 }
 
@@ -81,6 +106,8 @@ impl BatchScheduler for HeuristicScheduler {
 pub struct CmaScheduler {
     config: CmaConfig,
     objective: Objective,
+    /// Reused across activations (see the module docs).
+    problem: Problem,
 }
 
 impl CmaScheduler {
@@ -91,6 +118,7 @@ impl CmaScheduler {
         Self {
             config: CmaConfig::paper().with_stop(budget),
             objective: Objective::classic(),
+            problem: Problem::default(),
         }
     }
 
@@ -100,6 +128,7 @@ impl CmaScheduler {
         Self {
             config,
             objective: Objective::classic(),
+            problem: Problem::default(),
         }
     }
 
@@ -125,14 +154,14 @@ impl BatchScheduler for CmaScheduler {
     }
 
     fn schedule(&mut self, instance: &GridInstance, seed: u64) -> Schedule {
-        let problem = Problem::from_instance(instance).targeting(self.objective);
+        let problem = refill(&mut self.problem, instance, self.objective);
         // Tiny batches: the grid population would dwarf the problem; fall
         // back to the seeding heuristic directly.
         if instance.nb_jobs() < 2 || instance.nb_machines() < 2 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            return self.config.seeding.build_seeded(&problem, &mut rng);
+            return self.config.seeding.build_seeded(problem, &mut rng);
         }
-        self.config.run(&problem, seed).schedule
+        self.config.run(problem, seed).schedule
     }
 }
 
@@ -142,6 +171,8 @@ impl BatchScheduler for CmaScheduler {
 pub struct SaScheduler {
     config: cmags_ga::SimulatedAnnealing,
     objective: Objective,
+    /// Reused across activations (see the module docs).
+    problem: Problem,
 }
 
 impl SaScheduler {
@@ -152,6 +183,7 @@ impl SaScheduler {
         Self {
             config: cmags_ga::SimulatedAnnealing::default().with_stop(budget),
             objective: Objective::classic(),
+            problem: Problem::default(),
         }
     }
 
@@ -175,8 +207,8 @@ impl BatchScheduler for SaScheduler {
     }
 
     fn schedule(&mut self, instance: &GridInstance, seed: u64) -> Schedule {
-        let problem = Problem::from_instance(instance).targeting(self.objective);
-        self.config.run(&problem, seed).schedule
+        let problem = refill(&mut self.problem, instance, self.objective);
+        self.config.run(problem, seed).schedule
     }
 }
 
@@ -185,6 +217,8 @@ impl BatchScheduler for SaScheduler {
 pub struct TabuScheduler {
     config: cmags_ga::TabuSearch,
     objective: Objective,
+    /// Reused across activations (see the module docs).
+    problem: Problem,
 }
 
 impl TabuScheduler {
@@ -195,6 +229,7 @@ impl TabuScheduler {
         Self {
             config: cmags_ga::TabuSearch::default().with_stop(budget),
             objective: Objective::classic(),
+            problem: Problem::default(),
         }
     }
 
@@ -218,8 +253,8 @@ impl BatchScheduler for TabuScheduler {
     }
 
     fn schedule(&mut self, instance: &GridInstance, seed: u64) -> Schedule {
-        let problem = Problem::from_instance(instance).targeting(self.objective);
-        self.config.run(&problem, seed).schedule
+        let problem = refill(&mut self.problem, instance, self.objective);
+        self.config.run(problem, seed).schedule
     }
 }
 
@@ -250,6 +285,8 @@ pub struct PortfolioScheduler {
     /// (counts, never wall-clock), so its contents are deterministic
     /// per `(config, seed)`.
     metrics: MetricsRegistry,
+    /// Reused across activations (see the module docs).
+    problem: Problem,
 }
 
 impl PortfolioScheduler {
@@ -269,6 +306,7 @@ impl PortfolioScheduler {
             cma: CmaConfig::paper(),
             objective: Objective::classic(),
             metrics: MetricsRegistry::new(),
+            problem: Problem::default(),
         }
     }
 
@@ -341,12 +379,12 @@ impl BatchScheduler for PortfolioScheduler {
     }
 
     fn schedule(&mut self, instance: &GridInstance, seed: u64) -> Schedule {
-        let problem = Problem::from_instance(instance).targeting(self.objective);
+        let problem = refill(&mut self.problem, instance, self.objective);
         // Tiny batches: racing (or even evolving) is pointless; fall
         // back to the cMA scheduler's seeding heuristic directly.
         if instance.nb_jobs() < 2 || instance.nb_machines() < 2 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            return self.cma.seeding.build_seeded(&problem, &mut rng);
+            return self.cma.seeding.build_seeded(problem, &mut rng);
         }
         let sa = cmags_ga::SimulatedAnnealing::default();
         let tabu = cmags_ga::TabuSearch::default();
@@ -359,21 +397,18 @@ impl BatchScheduler for PortfolioScheduler {
         let contenders: Vec<Contender<'_>> = vec![
             Contender::new(
                 "cMA",
-                Box::new(CmaEngine::new(&self.cma, &problem, entry_seed(seed, 0))),
+                Box::new(CmaEngine::new(&self.cma, problem, entry_seed(seed, 0))),
             ),
-            Contender::new("SA", Box::new(sa.engine(&problem, entry_seed(seed, 1)))),
-            Contender::new("Tabu", Box::new(tabu.engine(&problem, entry_seed(seed, 2)))),
-            Contender::new(
-                "SS-GA",
-                Box::new(ssga.engine(&problem, entry_seed(seed, 3))),
-            ),
+            Contender::new("SA", Box::new(sa.engine(problem, entry_seed(seed, 1)))),
+            Contender::new("Tabu", Box::new(tabu.engine(problem, entry_seed(seed, 2)))),
+            Contender::new("SS-GA", Box::new(ssga.engine(problem, entry_seed(seed, 3)))),
             Contender::new(
                 "MoCell",
-                Box::new(MoCellEngine::new(&mocell, &problem, entry_seed(seed, 4))),
+                Box::new(MoCellEngine::new(&mocell, problem, entry_seed(seed, 4))),
             ),
             Contender::new(
                 "NSGA-II",
-                Box::new(Nsga2Engine::new(&nsga2, &problem, entry_seed(seed, 5))),
+                Box::new(Nsga2Engine::new(&nsga2, problem, entry_seed(seed, 5))),
             ),
         ];
         let total_children = self.budget.max_children.unwrap_or(2000);

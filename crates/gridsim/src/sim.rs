@@ -347,7 +347,7 @@ impl Simulation {
         config.validate()?;
         let arrivals = config.arrivals.generator();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut pool = MachinePool::new();
+        let mut pool = MachinePool::with_capacity(config.initial_machines);
         for _ in 0..config.initial_machines {
             let slowness = config.world.draw_slowness(&mut rng);
             pool.join(slowness, 0.0);

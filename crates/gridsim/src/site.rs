@@ -103,12 +103,16 @@ pub(crate) fn fill_etc_snapshot(
     let nb_machines = machine_specs.len();
     out.clear();
     if topology.sites() == 1 {
-        // Centralized fast path: identical to the pre-site fill.
+        // Centralized fast path: the same cells as `cell`, with the
+        // inflation choice (and the world's consistency class) made once
+        // per fill rather than once per cell.
         out.reserve(nb_jobs * nb_machines);
-        for spec in &scratch.job_specs {
-            for machine_spec in machine_specs {
-                out.push(cell(world, inflate, spec, machine_spec));
-            }
+        let jobs = &scratch.job_specs;
+        match inflate {
+            None => world.extend_etc(jobs, machine_specs, out, |etc| etc),
+            Some((recovery, failures)) => world.extend_etc(jobs, machine_specs, out, |etc| {
+                recovery.inflate(etc, &failures)
+            }),
         }
         return Vec::new();
     }
@@ -246,6 +250,7 @@ fn gather_site_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmags_etc::Consistency;
 
     #[test]
     fn site_of_partitions_evenly_and_deterministically() {
@@ -263,8 +268,16 @@ mod tests {
         let _ = SiteTopology::new(0);
     }
 
-    fn snapshot(sites: usize, workers: usize, nb_jobs: usize, nb_machines: usize) -> Vec<f64> {
-        let world = World::hihi_consistent(7);
+    /// Fills one snapshot and checks every cell, bit for bit, against
+    /// the per-cell definition `cell` — so the centralized fast path and
+    /// every sharded path agree with each other too.
+    fn check_snapshot(
+        world: World,
+        inflate: Option<(RecoveryPolicy, FailureModel)>,
+        sites: usize,
+        workers: usize,
+    ) {
+        let (nb_jobs, nb_machines) = (13, 10);
         let mut scratch = SiteScratch {
             job_specs: (0..nb_jobs as u64)
                 .map(|id| JobSpec {
@@ -288,29 +301,49 @@ mod tests {
             SiteTopology::new(sites),
             workers,
             &world,
-            None,
+            inflate,
             &machine_ids,
             &machine_specs,
             &mut scratch,
             &mut out,
             false,
         );
-        out
+        assert_eq!(out.len(), nb_jobs * nb_machines);
+        for (row, job) in scratch.job_specs.iter().enumerate() {
+            for (col, machine) in machine_specs.iter().enumerate() {
+                assert_eq!(
+                    out[row * nb_machines + col].to_bits(),
+                    cell(&world, inflate, job, machine).to_bits(),
+                    "cell ({row}, {col}) diverged at {sites} sites / {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]
     fn sharded_snapshot_is_bit_identical_to_centralized() {
-        let reference = snapshot(1, 1, 13, 10);
-        for sites in [2usize, 4, 8] {
-            for workers in [1usize, 2, 4, 8] {
-                let sharded = snapshot(sites, workers, 13, 10);
-                assert_eq!(reference.len(), sharded.len());
-                for (i, (a, b)) in reference.iter().zip(&sharded).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "cell {i} diverged at {sites} sites / {workers} workers"
-                    );
+        let inflated = Some((
+            RecoveryPolicy {
+                checkpoint_every: Some(150.0),
+                ..RecoveryPolicy::default()
+            },
+            FailureModel::transient(1e-3),
+        ));
+        for consistency in [
+            Consistency::Consistent,
+            Consistency::SemiConsistent,
+            Consistency::Inconsistent,
+        ] {
+            let world = World {
+                consistency,
+                ..World::hihi_consistent(7)
+            };
+            for inflate in [None, inflated] {
+                check_snapshot(world, inflate, 1, 1);
+                for sites in [2usize, 4, 8] {
+                    for workers in [1usize, 2, 4, 8] {
+                        check_snapshot(world, inflate, sites, workers);
+                    }
                 }
             }
         }

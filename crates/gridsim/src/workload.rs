@@ -96,15 +96,59 @@ impl World {
         let multiplier = match self.consistency {
             Consistency::Consistent => machine.slowness,
             Consistency::Inconsistent => self.pair_noise(job.id, machine.id),
-            Consistency::SemiConsistent => {
-                if machine.id.is_multiple_of(2) {
-                    machine.slowness
-                } else {
-                    self.pair_noise(job.id, machine.id)
-                }
-            }
+            Consistency::SemiConsistent => self.semi_multiplier(job.id, machine),
         };
         job.baseline * multiplier
+    }
+
+    /// Appends `post(etc(job, machine))` for every job (rows, in order)
+    /// and machine (columns, in order) to `out`: the row-major ETC
+    /// snapshot. The consistency class is matched once per call, not
+    /// once per cell, so each row is one `extend`; every cell is
+    /// bit-identical to [`World::etc`].
+    pub(crate) fn extend_etc(
+        &self,
+        jobs: &[JobSpec],
+        machines: &[MachineSpec],
+        out: &mut Vec<f64>,
+        post: impl Fn(f64) -> f64,
+    ) {
+        match self.consistency {
+            Consistency::Consistent => {
+                for job in jobs {
+                    out.extend(machines.iter().map(|m| post(job.baseline * m.slowness)));
+                }
+            }
+            Consistency::Inconsistent => {
+                for job in jobs {
+                    out.extend(
+                        machines
+                            .iter()
+                            .map(|m| post(job.baseline * self.pair_noise(job.id, m.id))),
+                    );
+                }
+            }
+            Consistency::SemiConsistent => {
+                for job in jobs {
+                    out.extend(
+                        machines
+                            .iter()
+                            .map(|m| post(job.baseline * self.semi_multiplier(job.id, m))),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Semi-consistent multiplier: even machine ids keep the consistent
+    /// slowness, odd ids draw per-pair noise.
+    #[inline]
+    fn semi_multiplier(&self, job: u64, machine: &MachineSpec) -> f64 {
+        if machine.id.is_multiple_of(2) {
+            machine.slowness
+        } else {
+            self.pair_noise(job, machine.id)
+        }
     }
 
     /// Per-pair multiplier from a splitmix64 hash, uniform on the
