@@ -230,8 +230,13 @@ impl Problem {
     /// raw objectives, schedules and every [`crate::EvalState`] cache
     /// computed against `self` stay valid. `Objective::classic()`
     /// reproduces the historical fitness bit for bit.
+    ///
+    /// Such copies exist to feed the evaluator, so the tick copy is built
+    /// on `self` first and cloned with it: a ladder of copies shares one
+    /// quantisation.
     #[must_use]
     pub fn retargeted(&self, objective: Objective) -> Self {
+        let _ = self.ticks();
         self.clone().targeting(objective)
     }
 
@@ -255,9 +260,12 @@ impl Problem {
     /// against `self` (schedules, [`crate::EvalState`] caches) remains
     /// valid for the reweighted problem; only scalarised fitness values
     /// change. Multi-objective engines use this to scalarise local-search
-    /// probes under varying λ without re-reading the instance.
+    /// probes under varying λ without re-reading the instance. As with
+    /// [`Problem::retargeted`], the tick copy is built on `self` first so
+    /// every copy shares one quantisation.
     #[must_use]
     pub fn reweighted(&self, weights: FitnessWeights) -> Self {
+        let _ = self.ticks();
         Self {
             weights,
             ..self.clone()
@@ -415,6 +423,17 @@ mod tests {
         assert_eq!(p.ticks().ready(0), ticks::ticks(0.5));
         assert!(p.ticks.get().is_some());
         assert_eq!(p, problem(), "equality ignores the tick cache");
+    }
+
+    #[test]
+    fn evaluator_copies_share_one_tick_copy() {
+        let p = problem();
+        let q = p.reweighted(FitnessWeights::new(0.25));
+        let r = p.retargeted(Objective::mean_flowtime());
+        assert!(p.ticks.get().is_some(), "the original is quantised once");
+        assert!(q.ticks.get().is_some() && r.ticks.get().is_some());
+        assert_eq!(q.ticks().etc_row(2), p.ticks().etc_row(2));
+        assert_eq!(r.ticks().ready(0), p.ticks().ready(0));
     }
 
     #[test]

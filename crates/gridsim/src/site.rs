@@ -104,15 +104,16 @@ pub(crate) fn fill_etc_snapshot(
     out.clear();
     if topology.sites() == 1 {
         // Centralized fast path: the same cells as `cell`, with the
-        // inflation choice (and the world's consistency class) made once
-        // per fill rather than once per cell.
+        // inflation choice made once per row rather than once per cell,
+        // so each row is one `extend`.
         out.reserve(nb_jobs * nb_machines);
-        let jobs = &scratch.job_specs;
-        match inflate {
-            None => world.extend_etc(jobs, machine_specs, out, |etc| etc),
-            Some((recovery, failures)) => world.extend_etc(jobs, machine_specs, out, |etc| {
-                recovery.inflate(etc, &failures)
-            }),
+        for job in &scratch.job_specs {
+            match inflate {
+                None => world.extend_row(job, machine_specs, out, |etc| etc),
+                Some((recovery, failures)) => world.extend_row(job, machine_specs, out, |etc| {
+                    recovery.inflate(etc, &failures)
+                }),
+            }
         }
         return Vec::new();
     }

@@ -96,58 +96,33 @@ impl World {
         let multiplier = match self.consistency {
             Consistency::Consistent => machine.slowness,
             Consistency::Inconsistent => self.pair_noise(job.id, machine.id),
-            Consistency::SemiConsistent => self.semi_multiplier(job.id, machine),
+            Consistency::SemiConsistent => {
+                if machine.id.is_multiple_of(2) {
+                    machine.slowness
+                } else {
+                    self.pair_noise(job.id, machine.id)
+                }
+            }
         };
         job.baseline * multiplier
     }
 
-    /// Appends `post(etc(job, machine))` for every job (rows, in order)
-    /// and machine (columns, in order) to `out`: the row-major ETC
-    /// snapshot. The consistency class is matched once per call, not
-    /// once per cell, so each row is one `extend`; every cell is
-    /// bit-identical to [`World::etc`].
-    pub(crate) fn extend_etc(
+    /// Appends `post(self.etc(job, m))` for every machine `m` of
+    /// `machines`, in order: one row of the ETC snapshot. A consistent
+    /// world skips the per-cell class match so the row vectorises; the
+    /// other classes go through [`World::etc`]. Bit-identical either way.
+    #[inline]
+    pub(crate) fn extend_row(
         &self,
-        jobs: &[JobSpec],
+        job: &JobSpec,
         machines: &[MachineSpec],
         out: &mut Vec<f64>,
         post: impl Fn(f64) -> f64,
     ) {
-        match self.consistency {
-            Consistency::Consistent => {
-                for job in jobs {
-                    out.extend(machines.iter().map(|m| post(job.baseline * m.slowness)));
-                }
-            }
-            Consistency::Inconsistent => {
-                for job in jobs {
-                    out.extend(
-                        machines
-                            .iter()
-                            .map(|m| post(job.baseline * self.pair_noise(job.id, m.id))),
-                    );
-                }
-            }
-            Consistency::SemiConsistent => {
-                for job in jobs {
-                    out.extend(
-                        machines
-                            .iter()
-                            .map(|m| post(job.baseline * self.semi_multiplier(job.id, m))),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Semi-consistent multiplier: even machine ids keep the consistent
-    /// slowness, odd ids draw per-pair noise.
-    #[inline]
-    fn semi_multiplier(&self, job: u64, machine: &MachineSpec) -> f64 {
-        if machine.id.is_multiple_of(2) {
-            machine.slowness
+        if self.consistency == Consistency::Consistent {
+            out.extend(machines.iter().map(|m| post(job.baseline * m.slowness)));
         } else {
-            self.pair_noise(job, machine.id)
+            out.extend(machines.iter().map(|m| post(self.etc(job, m))));
         }
     }
 
